@@ -436,7 +436,7 @@ def cmd_estimate(args) -> int:
     dt = np.array([r.solve_time for r in results]) * 1e3
     last = results[-1].p.to_array()
     print(f"fitted {len(results)} frames; solve time {dt.mean():.2f} +/- {dt.std():.2f} ms/frame")
-    print("final parameters: " + ",".join(repr(v) for v in last))
+    print("final parameters: " + ",".join(repr(float(v)) for v in last))
     if truth is not None:
         accs = np.array([r.acc for r in rows], dtype=float)
         accs = accs[~np.isnan(accs)]

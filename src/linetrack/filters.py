@@ -221,6 +221,9 @@ def dbscan_labels(
 
 
 def _line_shaped(cluster_points: np.ndarray, ratio: float) -> bool:
+    # fewer than 3 points have no usable covariance: NaN for one, rank 1 for two
+    if cluster_points.shape[0] < 3:
+        return False
     eig = np.linalg.eigvalsh(np.cov(cluster_points.T))  # ascending
     return bool(eig[2] >= ratio * eig[1])
 

@@ -9,8 +9,8 @@ and the per-point distance to the nearest conductor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class CatenaryRangeError(ValueError):
 
 
 def _check_cosh_range(u: np.ndarray | float) -> None:
-    bad = np.abs(u) > _COSH_ARG_LIMIT
-    if np.any(bad):
+    if np.abs(u).max(initial=0.0) > _COSH_ARG_LIMIT:
         worst = np.asarray(u, dtype=float).ravel()
         raise CatenaryRangeError(worst[np.argmax(np.abs(worst))])
 
@@ -53,95 +52,69 @@ def catenary_z(x: float | np.ndarray, a: float) -> float | np.ndarray:
     return z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConductorConfig:
     """Layout of a conductor array.
 
-    offset_fn maps the reduced offset parameters (length l) to a 3 x q
-    matrix whose column k is the translation [x_k, y_k, z_k] of conductor
-    k's vertex in the catenary frame. offset_jacobians[i] is the constant
-    3 x q matrix of partials of that translation with respect to delta_i.
+    jacobian is the constant (3, q, l) array of partials of the conductor
+    vertex translations with respect to the offset parameters. Every layout
+    is linear in them, so column k of jacobian @ deltas is the translation
+    [x_k, y_k, z_k] of conductor k's vertex in the catenary frame. Configs
+    compare by identity; an array field has no single truth value.
     """
 
     name: str
-    q: int
-    l: int
-    offset_fn: Callable[[np.ndarray], np.ndarray]
-    offset_jacobians: tuple[np.ndarray, ...]
+    jacobian: np.ndarray
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"conductor count must be >= 1, got {self.q}")
-        if self.l < 0 or len(self.offset_jacobians) != self.l:
-            raise ValueError(
-                f"expected {self.l} offset jacobians, got {len(self.offset_jacobians)}"
-            )
-        for jac in self.offset_jacobians:
-            if jac.shape != (3, self.q):
-                raise ValueError(f"offset jacobian must be 3x{self.q}, got {jac.shape}")
+        jac = np.array(self.jacobian, dtype=float)
+        if jac.ndim != 3 or jac.shape[0] != 3 or jac.shape[1] < 1:
+            raise ValueError(f"offset jacobian must be (3, q >= 1, l), got shape {jac.shape}")
+        jac.setflags(write=False)
+        object.__setattr__(self, "jacobian", jac)
 
-    @classmethod
-    def from_jacobians(cls, name: str, q: int, jacobians: Sequence[np.ndarray]) -> "ConductorConfig":
-        """Build a config whose offsets are linear in the delta parameters."""
-        jacs = tuple(np.asarray(j, dtype=float) for j in jacobians)
+    @property
+    def q(self) -> int:
+        return self.jacobian.shape[1]
 
-        def offset_fn(deltas: np.ndarray) -> np.ndarray:
-            deltas = np.asarray(deltas, dtype=float)
-            out = np.zeros((3, q))
-            for d, jac in zip(deltas, jacs):
-                out += d * jac
-            return out
-
-        return cls(name=name, q=q, l=len(jacs), offset_fn=offset_fn, offset_jacobians=jacs)
+    @property
+    def l(self) -> int:
+        return self.jacobian.shape[2]
 
 
-def _config_single() -> ConductorConfig:
+# Offset jacobians of the built-in layouts, one (q, l) block per axis x, y, z.
+_LAYOUTS = {
     # One conductor at the catenary origin, no internal offsets.
-    return ConductorConfig.from_jacobians("1", q=1, jacobians=[])
-
-
-def _config_32() -> ConductorConfig:
+    "1": np.zeros((3, 1, 0)),
     # Five conductors: three in a horizontal row (spacing delta_1) plus two
     # above (horizontal half-spacing delta_3, height delta_2).
-    j1 = np.zeros((3, 5))
-    j1[1] = [-1.0, 0.0, 1.0, 0.0, 0.0]
-    j2 = np.zeros((3, 5))
-    j2[2] = [0.0, 0.0, 0.0, 1.0, 1.0]
-    j3 = np.zeros((3, 5))
-    j3[1] = [0.0, 0.0, 0.0, -1.0, 1.0]
-    return ConductorConfig.from_jacobians("32", q=5, jacobians=[j1, j2, j3])
-
-
-def _config_222() -> ConductorConfig:
+    "32": [
+        [[0, 0, 0]] * 5,
+        [[-1, 0, 0], [0, 0, 0], [1, 0, 0], [0, 0, -1], [0, 0, 1]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 1, 0]],
+    ],
     # Double circuit: two vertical stacks of three. delta_1 is half the
     # horizontal separation between stacks, delta_2 the vertical spacing.
-    j1 = np.zeros((3, 6))
-    j1[1] = [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0]
-    j2 = np.zeros((3, 6))
-    j2[2] = [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]
-    return ConductorConfig.from_jacobians("222", q=6, jacobians=[j1, j2])
-
-
-_CONFIG_BUILDERS = {
-    "1": _config_single,
-    "32": _config_32,
-    "222": _config_222,
+    "222": [
+        [[0, 0]] * 6,
+        [[-1, 0], [-1, 0], [-1, 0], [1, 0], [1, 0], [1, 0]],
+        [[0, 0], [0, 1], [0, 2], [0, 0], [0, 1], [0, 2]],
+    ],
 }
 
 
 def conductor_config(name: str) -> ConductorConfig:
     """Look up a built-in array layout by name ("1", "32", or "222")."""
     try:
-        return _CONFIG_BUILDERS[name]()
+        return ConductorConfig(name, _LAYOUTS[name])
     except KeyError:
         raise KeyError(
-            f"unknown conductor configuration {name!r}; available: "
-            f"{sorted(_CONFIG_BUILDERS)}"
+            f"unknown conductor configuration {name!r}; available: {available_configs()}"
         ) from None
 
 
 def available_configs() -> list[str]:
-    return sorted(_CONFIG_BUILDERS)
+    return sorted(_LAYOUTS)
 
 
 @dataclass(frozen=True)
@@ -214,14 +187,13 @@ class ConductorDistance:
 
 
 def _as_points(cloud: PointCloud | np.ndarray) -> np.ndarray:
+    """The (m, 3) float points of a cloud, checked as PointCloud checks them."""
     if isinstance(cloud, PointCloud):
         return cloud.points
     pts = np.asarray(cloud, dtype=float)
-    if pts.size == 0:
-        return pts.reshape(0, 3)
-    if pts.ndim == 1:
+    if pts.ndim == 1 and pts.size == 3:
         pts = pts.reshape(1, 3)
-    return pts
+    return PointCloud(pts).points
 
 
 def _check_params(p: ParamVector, config: ConductorConfig) -> None:
@@ -237,10 +209,7 @@ def offset_matrix(config: ConductorConfig, deltas: np.ndarray) -> np.ndarray:
     deltas = np.asarray(deltas, dtype=float).ravel()
     if deltas.size != config.l:
         raise ValueError(f"config {config.name!r} expects {config.l} offsets, got {deltas.size}")
-    m = np.asarray(config.offset_fn(deltas), dtype=float)
-    if m.shape != (3, config.q):
-        raise ValueError(f"offset_fn returned shape {m.shape}, expected (3, {config.q})")
-    return m
+    return config.jacobian @ deltas
 
 
 def forward_point(p: ParamVector, config: ConductorConfig, k: int, x_j: float | np.ndarray) -> np.ndarray:
@@ -272,38 +241,36 @@ def forward_point(p: ParamVector, config: ConductorConfig, k: int, x_j: float | 
     return out
 
 
-def associate_x(p: ParamVector, config: ConductorConfig, k: int, pt: np.ndarray) -> float:
-    """Closed-form abscissa of the model point associated with a measurement.
+def _residuals(
+    pts: np.ndarray, p: np.ndarray, jacobian: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Catenary residuals of (m, 3) points at their nearest conductor.
 
-    The association plane passes through the point with normal along the
-    conductor direction, so the abscissa is the point's coordinate along
-    that direction minus the conductor's own x offset.
+    p is the flat parameter array (x_o, y_o, z_o, psi, a, deltas). Each
+    point is rotated into the catenary frame, where the closed-form
+    association puts the model point in the plane through the point normal
+    to the conductor direction, so only the lateral (e2) and vertical (e3)
+    errors remain. Returns (d2, e2, e3, x_j, k, along, across): the squared
+    distance, errors and abscissa at the nearest conductor k (ties go to the
+    lowest index), and the point coordinates along and across the conductor
+    direction.
     """
-    _check_params(p, config)
-    if not 0 <= k < config.q:
-        raise ValueError(f"conductor index {k} out of range [0, {config.q})")
-    x_k = offset_matrix(config, p.deltas)[0, k]
-    c, s = np.cos(p.psi), np.sin(p.psi)
-    pt = np.asarray(pt, dtype=float)
-    return float(c * (pt[0] - p.x_o) + s * (pt[1] - p.y_o) - x_k)
-
-
-def error_vector(p: ParamVector, config: ConductorConfig, k: int, pt: np.ndarray) -> np.ndarray:
-    """Measurement-to-model error in the catenary basis for conductor k.
-
-    First component is identically zero by the closed-form association;
-    the remaining two are the lateral and vertical residuals.
-    """
-    _check_params(p, config)
-    offs = offset_matrix(config, p.deltas)
-    x_k, y_k, z_k = offs[:, k]
-    c, s = np.cos(p.psi), np.sin(p.psi)
-    pt = np.asarray(pt, dtype=float)
-    dx, dy = pt[0] - p.x_o, pt[1] - p.y_o
-    x_j = c * dx + s * dy - x_k
-    e2 = -s * dx + c * dy - y_k
-    e3 = pt[2] - p.z_o - z_k - catenary_z(x_j, p.a)
-    return np.array([0.0, e2, e3])
+    x_o, y_o, z_o, psi, a = p[:5].tolist()
+    offs = jacobian @ p[5:]
+    c, s = math.cos(psi), math.sin(psi)
+    dx = pts[:, 0] - x_o
+    dy = pts[:, 1] - y_o
+    along = c * dx + s * dy
+    across = c * dy - s * dx
+    x_j = along[:, None] - offs[0]
+    u = x_j / a
+    _check_cosh_range(u)
+    e2 = across[:, None] - offs[1]
+    e3 = (pts[:, 2] - z_o)[:, None] - offs[2] - a * (np.cosh(u) - 1.0)
+    d2 = e2 * e2 + e3 * e3
+    k = np.argmin(d2, axis=1)
+    win = np.arange(0, d2.size, d2.shape[1]) + k  # flat index of each winner
+    return d2.take(win), e2.take(win), e3.take(win), x_j.take(win), k, along, across
 
 
 def distance_field(
@@ -316,26 +283,8 @@ def distance_field(
     conductor index.
     """
     _check_params(p, config)
-    pts = _as_points(points)
-    m = pts.shape[0]
-    if m == 0:
-        z = np.zeros(0)
-        return z, np.zeros(0, dtype=int), z.copy(), z.copy(), z.copy()
-    offs = offset_matrix(config, p.deltas)
-    c, s = np.cos(p.psi), np.sin(p.psi)
-    dx = pts[:, 0] - p.x_o
-    dy = pts[:, 1] - p.y_o
-    along = c * dx + s * dy  # coordinate along the conductor direction
-    across = -s * dx + c * dy
-    x_j = along[:, None] - offs[0][None, :]  # (m, q)
-    u = x_j / p.a
-    _check_cosh_range(u)
-    e2 = across[:, None] - offs[1][None, :]
-    e3 = (pts[:, 2] - p.z_o)[:, None] - offs[2][None, :] - p.a * (np.cosh(u) - 1.0)
-    d_all = np.hypot(e2, e3)
-    k_star = np.argmin(d_all, axis=1)  # first minimum = lowest index
-    rows = np.arange(m)
-    return d_all[rows, k_star], k_star, e2[rows, k_star], e3[rows, k_star], x_j[rows, k_star]
+    _, e2, e3, x_j, k_star, _, _ = _residuals(_as_points(points), p.to_array(), config.jacobian)
+    return np.hypot(e2, e3), k_star, e2, e3, x_j
 
 
 def distance_to_model(p: ParamVector, config: ConductorConfig, pt: np.ndarray) -> ConductorDistance:

@@ -9,6 +9,7 @@ to a prior estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,11 +19,12 @@ from .geometry import (
     ParamVector,
     PointCloud,
     _as_points,
-    _check_cosh_range,
+    _residuals,
     distance_field,
 )
 
-_LN10 = np.log(10.0)
+# d(log10(1 + d^2)) / d(d^2) = _DLOG / (1 + d^2)
+_DLOG = 1.0 / np.log(10.0)
 
 
 def point_cost(d: float | np.ndarray) -> float | np.ndarray:
@@ -46,7 +48,7 @@ class LossWeights:
     q_diag: np.ndarray | None = None
 
     def __post_init__(self):
-        r = self.r if np.ndim(self.r) == 0 else np.asarray(self.r, dtype=float).ravel()
+        r = float(self.r) if np.ndim(self.r) == 0 else np.asarray(self.r, dtype=float).ravel()
         if np.any(np.asarray(r) < 0):
             raise ValueError("point weights must be >= 0")
         object.__setattr__(self, "r", r)
@@ -57,8 +59,8 @@ class LossWeights:
             object.__setattr__(self, "q_diag", q)
 
     def point_weights(self, m: int) -> np.ndarray | float:
-        if np.ndim(self.r) == 0:
-            return float(self.r)
+        if isinstance(self.r, float):
+            return self.r
         if np.size(self.r) != m:
             raise ValueError(f"{np.size(self.r)} point weights for {m} points")
         return self.r
@@ -88,14 +90,16 @@ class LossReport:
     k_star: np.ndarray = field(repr=False)
 
 
-def _coerce_params(p: ParamVector | np.ndarray, config: ConductorConfig) -> ParamVector:
-    pv = p if isinstance(p, ParamVector) else ParamVector.from_array(p)
-    if pv.deltas.size != config.l:
+def _param_array(p: ParamVector | np.ndarray, config: ConductorConfig) -> np.ndarray:
+    arr = p.to_array() if isinstance(p, ParamVector) else np.asarray(p, dtype=float).ravel()
+    if arr.size != 5 + config.l:
         raise ValueError(
-            f"parameter vector carries {pv.deltas.size} offsets but config "
-            f"{config.name!r} expects {config.l}"
+            f"parameter vector has {arr.size} entries but config {config.name!r} "
+            f"expects {5 + config.l}"
         )
-    return pv
+    if not arr[4] > 0:
+        raise ValueError(f"sag parameter must be positive, got {arr[4]}")
+    return arr
 
 
 def _prior_array(
@@ -124,66 +128,44 @@ def cost_and_gradient(
     against the 1/d of the distance derivative, so a point lying exactly
     on a conductor contributes zero gradient with no special casing.
     """
-    pv = _coerce_params(p, config)
+    p_arr = _param_array(p, config)
     pts = _as_points(points)
-    n_par = pv.size
-    p_arr = pv.to_array()
+    prior_arr = _prior_array(prior, p_arr.size)
+    r = weights.point_weights(pts.shape[0])
+    d2, e2, e3, x_j, k, along, across = _residuals(pts, p_arr, config.jacobian)
+    one_d2 = 1.0 + d2
+    total = float((r * np.log10(one_d2)).sum())
 
-    grad = np.zeros(n_par)
-    total = 0.0
-    m = pts.shape[0]
-    if m > 0:
-        r = weights.point_weights(m)
-        offs = np.asarray(config.offset_fn(pv.deltas), dtype=float)
-        c, s = np.cos(pv.psi), np.sin(pv.psi)
-        dx = pts[:, 0] - pv.x_o
-        dy = pts[:, 1] - pv.y_o
-        along = c * dx + s * dy
-        across = -s * dx + c * dy
-        x_j_all = along[:, None] - offs[0][None, :]
-        u_all = x_j_all / pv.a
-        _check_cosh_range(u_all)
-        e2_all = across[:, None] - offs[1][None, :]
-        e3_all = (pts[:, 2] - pv.z_o)[:, None] - offs[2][None, :] - pv.a * (np.cosh(u_all) - 1.0)
-        d2_all = np.square(e2_all) + np.square(e3_all)
-        k_star = np.argmin(d2_all, axis=1)
-        rows = np.arange(m)
+    # w * (e2 * de2/dp + e3 * de3/dp) summed over points, where
+    # w = 2 r d(log10(1+d^2))/d(d^2); de2/dpsi = -along, de3/dpsi = -sinh(u) across.
+    w = (2.0 * _DLOG) * r / one_d2
+    u = x_j / p_arr[4]
+    sinh_u = np.sinh(u)
+    we2 = w * e2
+    we3 = w * e3
+    we3_sinh = we3 * sinh_u
+    s_e2, s_e3, s_e3_sinh = we2.sum(), we3.sum(), we3_sinh.sum()
+    c, s = math.cos(p_arr[3]), math.sin(p_arr[3])
+    grad = np.empty(p_arr.size)
+    grad[0] = s * s_e2 + c * s_e3_sinh
+    grad[1] = s * s_e3_sinh - c * s_e2
+    grad[2] = -s_e3
+    grad[3] = -(we2 @ along) - we3_sinh @ across
+    grad[4] = -(we3 @ (np.cosh(u) - u * sinh_u - 1.0))
+    if config.l:
+        # offset block: per-conductor sums of the x/y/z partials, then one
+        # product with the constant jacobian
+        q = config.q
+        per_k = np.concatenate(
+            (np.bincount(k, we3_sinh, q), -np.bincount(k, we2, q), -np.bincount(k, we3, q))
+        )
+        grad[5:] = per_k @ config.jacobian.reshape(3 * q, config.l)
 
-        d2 = d2_all[rows, k_star]
-        e2 = e2_all[rows, k_star]
-        e3 = e3_all[rows, k_star]
-        u = u_all[rows, k_star]
-        total += float(np.sum(r * np.log10(1.0 + d2)))
-
-        # w * (e2 * de2/dp + e3 * de3/dp) summed over points, where
-        # w = r * 2 / (ln10 * (1 + d^2)) is r * d(log10(1+d^2))/d(d^2).
-        w = r * (2.0 / (_LN10 * (1.0 + d2)))
-        sinh_u = np.sinh(u)
-        we2 = w * e2
-        we3 = w * e3
-
-        grad[0] += float(np.sum(we2 * s + we3 * (c * sinh_u)))
-        grad[1] += float(np.sum(we2 * (-c) + we3 * (s * sinh_u)))
-        grad[2] += float(np.sum(-we3))
-        de2_dpsi = -c * dx - s * dy
-        de3_dpsi = -sinh_u * (-s * dx + c * dy)
-        grad[3] += float(np.sum(we2 * de2_dpsi + we3 * de3_dpsi))
-        cosh_u = np.cosh(u)
-        grad[4] += float(np.sum(-we3 * (cosh_u - u * sinh_u - 1.0)))
-
-        # offset block: gather each jacobian at the winning conductor
-        for i, jac in enumerate(config.offset_jacobians):
-            jx = jac[0][k_star]
-            jy = jac[1][k_star]
-            jz = jac[2][k_star]
-            grad[5 + i] += float(np.sum(we2 * (-jy) + we3 * (sinh_u * jx - jz)))
-
-    prior_arr = _prior_array(prior, n_par)
     if prior_arr is not None:
-        q = weights.penalty_diag(n_par)
         dp = p_arr - prior_arr
-        total += float(dp @ (q * dp))
-        grad += 2.0 * q * dp
+        q_dp = weights.penalty_diag(p_arr.size) * dp
+        total += float(dp @ q_dp)
+        grad += 2.0 * q_dp
 
     return total, grad
 
@@ -196,25 +178,16 @@ def total_loss(
     weights: LossWeights = DEFAULT_WEIGHTS,
 ) -> LossReport:
     """Loss with a full per-point breakdown (slower than cost_and_gradient)."""
-    pv = _coerce_params(p, config)
-    pts = _as_points(points)
-    m = pts.shape[0]
-    if m > 0:
-        d, k_star, _, _, _ = distance_field(pv, config, pts)
-        c_i = np.log10(1.0 + np.square(d))
-        r = weights.point_weights(m)
-        points_cost = float(np.sum(r * c_i))
-    else:
-        d = np.zeros(0)
-        c_i = np.zeros(0)
-        k_star = np.zeros(0, dtype=int)
-        points_cost = 0.0
+    p_arr = _param_array(p, config)
+    d, k_star, _, _, _ = distance_field(ParamVector.from_array(p_arr), config, points)
+    c_i = np.log10(1.0 + np.square(d))
+    points_cost = float(np.sum(weights.point_weights(d.size) * c_i))
 
     reg = 0.0
-    prior_arr = _prior_array(prior, pv.size)
+    prior_arr = _prior_array(prior, p_arr.size)
     if prior_arr is not None:
-        q = weights.penalty_diag(pv.size)
-        dp = pv.to_array() - prior_arr
+        q = weights.penalty_diag(p_arr.size)
+        dp = p_arr - prior_arr
         reg = float(dp @ (q * dp))
     return LossReport(
         total=points_cost + reg,

@@ -9,7 +9,7 @@ a short slice, as from a scan plane crossing the line).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,7 +267,3 @@ def default_scenario(
         seed=seed,
     )
 
-
-def with_seed(scenario: Scenario, seed: int) -> Scenario:
-    """Same scenario, different random stream."""
-    return replace(scenario, seed=seed)

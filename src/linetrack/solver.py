@@ -227,31 +227,36 @@ def solve_single(
     anchor = prior if prior is not None else p0_v
     lower, upper = settings.resolve_bounds(anchor)
     start = _clamp(p0_v.to_array(), lower, upper)
+    cloud = _as_cloud(points)
     weights = settings.resolve_weights(config)
-    c0, _ = cost_and_gradient(start, config, points, anchor, weights)
+    c0, _ = cost_and_gradient(start, config, cloud, anchor, weights)
     if not np.isfinite(c0):
         raise SolverError(f"non-finite cost {c0} at the projected start", p0=start)
-    p_fit, c_fit, _, _, _ = _descend(start, config, points, anchor, settings, lower, upper)
+    p_fit, c_fit, _, _, _ = _descend(
+        start, config, cloud, anchor.to_array(), weights, settings, lower, upper
+    )
     return p_fit, c_fit
+
+
+def _as_cloud(points: PointCloud | np.ndarray) -> PointCloud:
+    # checked once here, so every loss evaluation takes the points as they are
+    return points if isinstance(points, PointCloud) else PointCloud(points)
 
 
 def _descend(
     p0: np.ndarray,
     config: ConductorConfig,
-    points: np.ndarray | PointCloud,
-    prior: ParamVector | None,
+    cloud: PointCloud,
+    prior: np.ndarray,
+    weights: LossWeights,
     settings: EstimatorSettings,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> tuple[ParamVector, float, int, bool, str]:
-    weights = settings.resolve_weights(config)
-
-    def objective(p_arr: np.ndarray) -> tuple[float, np.ndarray]:
-        return cost_and_gradient(p_arr, config, points, prior, weights)
-
     res = minimize(
-        objective,
+        cost_and_gradient,
         p0,
+        args=(config, cloud, prior, weights),
         jac=True,
         method="L-BFGS-B",
         bounds=list(zip(lower, upper)),
@@ -285,11 +290,14 @@ def estimate_frame(
             f"prior carries {prior.deltas.size} offsets but config "
             f"{config.name!r} expects {config.l}"
         )
+    cloud = _as_cloud(points)
     if rng is None:
         rng = np.random.default_rng(settings.seed)
     lower, upper = settings.resolve_bounds(prior)
+    weights = settings.resolve_weights(config)
+    anchor = prior.to_array()
     sigma = settings.resolve_sigma(config)
-    prior_arr = _clamp(prior.to_array(), lower, upper)
+    prior_arr = _clamp(anchor, lower, upper)
 
     starts: list[StartRecord] = []
     for idx in range(1 + settings.n_search):
@@ -300,7 +308,7 @@ def estimate_frame(
         t0 = time.perf_counter()
         try:
             p_fit, c_fit, n_iter, ok, msg = _descend(
-                start_arr, config, points, prior, settings, lower, upper
+                start_arr, config, cloud, anchor, weights, settings, lower, upper
             )
         except CatenaryRangeError as exc:
             # a restart that wanders out of the representable range is a
@@ -337,7 +345,7 @@ def estimate_frame(
             "every start failed: " + "; ".join(r.message for r in starts),
             p0=prior_arr,
         )
-    d, k_star, _, _, _ = distance_field(best.p, config, points)
+    d, k_star, _, _, _ = distance_field(best.p, config, cloud)
     return EstimationResult(
         p=best.p,
         cost=best.cost,

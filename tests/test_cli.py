@@ -55,11 +55,15 @@ def test_estimate_writes_scored_results(tmp_path):
     out = tmp_path / "run"
     run_cli(["simulate", "--out", str(out), "--frames", "4", "--outliers", "5",
              "--seed", "1"])
-    rc, _, _ = run_cli(["estimate", "--data", str(out), "--prior-from-truth",
-                        "--seed", "1"])
+    rc, stdout, _ = run_cli(["estimate", "--data", str(out), "--prior-from-truth",
+                             "--seed", "1"])
     assert rc == 0
     rows = read_results_csv(out / "results.csv")
     assert len(rows) == 4
+    # the summary prints plain floats that parse back to the last fit exactly
+    line = next(ln for ln in stdout.splitlines() if ln.startswith("final parameters: "))
+    final = [float(v) for v in line.removeprefix("final parameters: ").split(",")]
+    np.testing.assert_array_equal(final, rows[-1].params)
     assert rows[-1].acc is not None
     assert rows[-1].acc >= 95.0
     # reproducible by default: the timing column is zeroed

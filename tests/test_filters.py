@@ -10,6 +10,7 @@ from linetrack.filters import (
     corridor_filter,
     dbscan_labels,
     ground_filter_ransac,
+    _line_shaped,
 )
 
 
@@ -169,3 +170,10 @@ def test_apply_mask_preserves_order():
     mask = np.array([True, False, True, False, True])
     out = apply_mask(pts, mask)
     np.testing.assert_array_equal(out, pts[[0, 2, 4]])
+
+
+def test_clusters_under_three_points_are_not_lines():
+    # one point has no covariance and two span only a rank-1 one
+    assert not _line_shaped(np.array([[1.0, 2.0, 20.0]]), ratio=10.0)
+    assert not _line_shaped(np.array([[0.0, 0.0, 20.0], [5.0, 0.0, 20.0]]), ratio=10.0)
+    assert _line_shaped(_line(np.random.default_rng(0), n=3), ratio=10.0)

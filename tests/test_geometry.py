@@ -79,7 +79,7 @@ def test_offset_matrix_linear_in_deltas():
     cfg = conductor_config("222")
     d = np.array([1.5, 2.5])
     m = offset_matrix(cfg, d)
-    np.testing.assert_allclose(m, d[0] * cfg.offset_jacobians[0] + d[1] * cfg.offset_jacobians[1])
+    np.testing.assert_allclose(m, d[0] * cfg.jacobian[..., 0] + d[1] * cfg.jacobian[..., 1])
 
 
 def test_param_vector_round_trip():

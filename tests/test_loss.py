@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_cost_and_gradient
 
 from linetrack.geometry import ParamVector, conductor_config, distance_field, forward_point
 from linetrack.loss import (
@@ -138,3 +142,49 @@ def test_prior_pull_direction():
     near = total_loss(ParamVector(0.1, 0.0, 20.0, 0.0, 1000.0), cfg, pts, prior=prior, weights=w)
     far = total_loss(ParamVector(1.0, 0.0, 20.0, 0.0, 1000.0), cfg, pts, prior=prior, weights=w)
     assert far.regularization > near.regularization
+
+
+@st.composite
+def loss_instances(draw):
+    """A layout, parameters, a cloud of near and far points, point weights
+    scalar or per point, and an optional prior with its penalty."""
+    cfg = conductor_config(draw(st.sampled_from(["1", "32", "222"])))
+    p = ParamVector(
+        x_o=draw(st.floats(-20.0, 20.0)),
+        y_o=draw(st.floats(-20.0, 20.0)),
+        z_o=draw(st.floats(5.0, 35.0)),
+        psi=draw(st.floats(-0.4, 0.4)),
+        a=draw(st.floats(600.0, 4000.0)),
+        deltas=draw(st.lists(st.floats(0.5, 7.5), min_size=cfg.l, max_size=cfg.l)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_near, n_far = draw(st.integers(1, 40)), draw(st.integers(0, 20))
+    k = rng.integers(0, cfg.q, size=n_near)
+    x = rng.uniform(-80.0, 80.0, size=n_near)
+    near = np.array([forward_point(p, cfg, int(ki), xi) for ki, xi in zip(k, x)])
+    far = rng.uniform([-100.0, -40.0, -10.0], [100.0, 40.0, 60.0], size=(n_far, 3))
+    pts = np.vstack([near + rng.normal(0.0, 0.3, size=near.shape), far])
+    if draw(st.booleans()):
+        r = rng.uniform(0.0, 2.0, size=pts.shape[0])
+    else:
+        r = draw(st.floats(0.1, 3.0))
+    prior, q_diag = None, None
+    if draw(st.booleans()):
+        scale = np.concatenate([[1.0, 1.0, 1.0, 0.02, 50.0], np.full(cfg.l, 0.5)])
+        prior = p.to_array() + rng.normal(0.0, 1.0, size=p.size) * scale
+        q_diag = rng.uniform(0.0, 5.0, size=p.size)
+    return cfg, p, pts, prior, r, q_diag
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(loss_instances())
+def test_cost_and_gradient_match_reference_and_differences(instance):
+    cfg, p, pts, prior, r, q_diag = instance
+    weights = LossWeights(r=r, q_diag=q_diag)
+    c, g = cost_and_gradient(p, cfg, pts, prior, weights)
+    c_ref, g_ref = reference_cost_and_gradient(p.to_array(), cfg, pts, prior, r, q_diag)
+    assert c == pytest.approx(c_ref, rel=1e-12)
+    assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+    # the same tolerance as acceptance criterion 01
+    gn = numerical_gradient(p, cfg, pts, prior, weights, h=1e-6)
+    assert np.max(np.abs(g - gn) / np.maximum(np.abs(gn), 1.0)) < 1e-5

@@ -13,7 +13,6 @@ from linetrack.simulator import (
     generate_frame,
     generate_sequence,
     random_prior,
-    with_seed,
 )
 from linetrack.solver import DELTA_BOUNDS, SAG_BOUNDS
 
@@ -55,7 +54,7 @@ def test_generate_sequence_deterministic():
     for fa, fb in zip(a, b):
         np.testing.assert_array_equal(fa.cloud.points, fb.cloud.points)
         np.testing.assert_array_equal(fa.labels, fb.labels)
-    c = generate_sequence(with_seed(scenario, 10))
+    c = generate_sequence(dataclasses.replace(scenario, seed=10))
     assert not np.array_equal(a[0].cloud.points, c[0].cloud.points)
 
 

@@ -169,6 +169,17 @@ def test_solver_error_on_mismatched_prior():
         estimate_frame(pts, prior, cfg, EstimatorSettings(seed=0))
 
 
+def test_non_finite_frame_rejected_before_fitting():
+    cfg = conductor_config("1")
+    truth = ParamVector(0.0, 0.0, 20.0, 0.0, 1000.0)
+    pts = _clean_cloud(truth, cfg, 20, seed=9)
+    pts[3, 2] = np.nan
+    with pytest.raises(ValueError, match="points must be finite"):
+        estimate_frame(pts, truth, cfg, EstimatorSettings(seed=0))
+    with pytest.raises(ValueError, match="points must be finite"):
+        track_sequence([pts], truth, cfg, EstimatorSettings(seed=0))
+
+
 def test_track_sequence_follows_rolling_prior():
     scenario = default_scenario("222", "global", n_outliers=5, n_frames=6, seed=11)
     frames = generate_sequence(scenario)
