@@ -5,137 +5,10 @@ parameter; fitting minimizes a robust log-quadratic loss over the
 point-to-nearest-conductor distances with an analytical gradient, a
 bound-constrained quasi-Newton descent, and multi-start perturbation
 search to escape clutter-induced local minima.
+
+The submodules are the API (linetrack.geometry, .loss, .solver,
+.simulator, .filters, .metrics, .fileio, .cli); importing the package
+itself loads none of them.
 """
 
-from .geometry import (
-    CatenaryRangeError,
-    ConductorConfig,
-    ConductorDistance,
-    ParamVector,
-    PointCloud,
-    available_configs,
-    catenary_z,
-    conductor_config,
-    distance_field,
-    distance_to_model,
-    forward_point,
-    offset_matrix,
-    sample_curves,
-)
-from .loss import (
-    LossReport,
-    LossWeights,
-    cost_and_gradient,
-    loss_gradient,
-    numerical_gradient,
-    point_cost,
-    total_loss,
-)
-from .solver import (
-    EstimationResult,
-    EstimatorSettings,
-    SolverError,
-    default_bounds,
-    default_regularization,
-    default_sigma,
-    default_weights,
-    estimate_frame,
-    solve_single,
-    track_sequence,
-)
-from .simulator import (
-    LabeledFrame,
-    OutlierBox,
-    Scenario,
-    default_prior_sigma,
-    default_scenario,
-    default_truth,
-    generate_frame,
-    generate_sequence,
-    random_prior,
-)
-from .filters import (
-    ClusterSpec,
-    CorridorSpec,
-    RansacSpec,
-    apply_mask,
-    clustering_filter,
-    corridor_filter,
-    dbscan_labels,
-    ground_filter_ransac,
-)
-from .metrics import (
-    EXPLAIN_THRESHOLD,
-    FrameMetrics,
-    FrameRecord,
-    StudyResult,
-    StudyRow,
-    accuracy,
-    frame_metrics,
-    parameter_errors,
-    sensitivity_study,
-    wrap_angle,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CatenaryRangeError",
-    "ConductorConfig",
-    "ConductorDistance",
-    "ParamVector",
-    "PointCloud",
-    "available_configs",
-    "catenary_z",
-    "conductor_config",
-    "distance_field",
-    "distance_to_model",
-    "forward_point",
-    "offset_matrix",
-    "sample_curves",
-    "LossReport",
-    "LossWeights",
-    "cost_and_gradient",
-    "loss_gradient",
-    "numerical_gradient",
-    "point_cost",
-    "total_loss",
-    "EstimationResult",
-    "EstimatorSettings",
-    "SolverError",
-    "default_bounds",
-    "default_regularization",
-    "default_sigma",
-    "default_weights",
-    "estimate_frame",
-    "solve_single",
-    "track_sequence",
-    "LabeledFrame",
-    "OutlierBox",
-    "Scenario",
-    "default_prior_sigma",
-    "default_scenario",
-    "default_truth",
-    "generate_frame",
-    "generate_sequence",
-    "random_prior",
-    "ClusterSpec",
-    "CorridorSpec",
-    "RansacSpec",
-    "apply_mask",
-    "clustering_filter",
-    "corridor_filter",
-    "dbscan_labels",
-    "ground_filter_ransac",
-    "EXPLAIN_THRESHOLD",
-    "FrameMetrics",
-    "FrameRecord",
-    "StudyResult",
-    "StudyRow",
-    "accuracy",
-    "frame_metrics",
-    "parameter_errors",
-    "sensitivity_study",
-    "wrap_angle",
-    "__version__",
-]

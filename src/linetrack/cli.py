@@ -48,9 +48,10 @@ from .filters import (
     ground_filter_ransac,
 )
 from .geometry import (
-    CatenaryRangeError,
+    ConductorConfig,
     ParamVector,
     available_configs,
+    check_param_count,
     conductor_config,
     sample_curves,
 )
@@ -262,11 +263,41 @@ def _apply_config_file(argv: list[str], subparsers: dict[str, argparse.ArgumentP
             sp.error(f"--config-file {path}: invalid JSON ({exc})")
     if not isinstance(values, dict):
         sp.error(f"--config-file {path}: expected a JSON object")
-    dests = {a.dest for a in sp._actions}
-    unknown = sorted(set(values) - dests)
+    actions = {a.dest: a for a in sp._actions}
+    unknown = sorted(set(values) - set(actions))
     if unknown:
         sp.error(f"--config-file {path}: unknown keys {unknown}")
+    for key, value in values.items():
+        try:
+            values[key] = _config_value(actions[key], value)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            sp.error(f"--config-file {path}: bad value {value!r} for {key} ({exc})")
     sp.set_defaults(**values)
+
+
+def _config_value(action: argparse.Action, value):
+    """A config-file value, converted and checked as the flag's own text would be:
+    lists are read as comma text, other values through str."""
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise ValueError("expected true or false")
+        return value
+    if value is None:
+        raise ValueError("expected a value")
+    text = ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
+    out = text if action.type is None else action.type(text)
+    if action.choices is not None and out not in action.choices:
+        raise ValueError(f"expected one of {list(action.choices)}")
+    return out
+
+
+def _param_flag(values: np.ndarray, config: ConductorConfig, flag: str) -> ParamVector:
+    """A parameter vector given on the command line; a wrong size is a usage error."""
+    try:
+        check_param_count(values.size, config, flag)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return ParamVector.from_array(values)
 
 
 def _build_scenario(args) -> Scenario:
@@ -274,12 +305,7 @@ def _build_scenario(args) -> Scenario:
     # benchmark passes a sweep list; the scenario template takes the first cell
     n_outliers = args.outliers[0] if isinstance(args.outliers, list) else args.outliers
     if args.truth is not None:
-        if args.truth.size != 5 + config.l:
-            raise UsageError(
-                f"--truth needs {5 + config.l} values for config {args.config}, "
-                f"got {args.truth.size}"
-            )
-        truth = ParamVector.from_array(args.truth)
+        truth = _param_flag(args.truth, config, "--truth")
     else:
         truth = default_truth(config)
     box = None
@@ -381,11 +407,7 @@ def cmd_estimate(args) -> int:
     truth_file = data / TRUTH_FILENAME
     if truth_file.exists():
         truth = read_truth_csv(truth_file)
-        if truth.deltas.size != config.l:
-            raise ValueError(
-                f"truth in {truth_file} has {truth.deltas.size} offsets but config "
-                f"{args.config} expects {config.l}"
-            )
+        check_param_count(truth.size, config, f"truth in {truth_file}")
 
     raw_counts = [c.shape[0] for c in clouds]
     if args.filter_method is not None:
@@ -395,11 +417,7 @@ def cmd_estimate(args) -> int:
         print(f"filter {args.filter_method}: kept {kept} of {sum(raw_counts)} points")
 
     if args.p0 is not None:
-        if args.p0.size != 5 + config.l:
-            raise UsageError(
-                f"--p0 needs {5 + config.l} values for config {args.config}, got {args.p0.size}"
-            )
-        prior0 = ParamVector.from_array(args.p0)
+        prior0 = _param_flag(args.p0, config, "--p0")
     elif args.prior_from_truth:
         if truth is None:
             raise UsageError(f"--prior-from-truth needs {truth_file} to exist")
@@ -510,12 +528,7 @@ def cmd_export_curves(args) -> int:
     if (args.params is None) == (args.results is None):
         raise UsageError("supply exactly one of --params or --results")
     if args.params is not None:
-        if args.params.size != 5 + config.l:
-            raise UsageError(
-                f"--params needs {5 + config.l} values for config {args.config}, "
-                f"got {args.params.size}"
-            )
-        p = ParamVector.from_array(args.params)
+        p = _param_flag(args.params, config, "--params")
     else:
         rows = read_results_csv(args.results)
         if args.frame is None:
@@ -525,11 +538,7 @@ def cmd_export_curves(args) -> int:
             if not matches:
                 raise ValueError(f"frame {args.frame} not found in {args.results}")
             row = matches[0]
-        if row.params.size != 5 + config.l:
-            raise ValueError(
-                f"{args.results} rows carry {row.params.size} parameters but config "
-                f"{args.config} expects {5 + config.l}"
-            )
+        check_param_count(row.params.size, config, f"frame {row.frame} of {args.results}")
         p = ParamVector.from_array(row.params)
     curves = sample_curves(p, config, args.x_min, args.x_max, args.samples)
     write_curves_csv(args.out, curves)
@@ -553,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, SolverError, CatenaryRangeError) as exc:
+    except (ValueError, KeyError, OSError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

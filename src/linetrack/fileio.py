@@ -81,7 +81,18 @@ def read_frame_csv(path: str | Path) -> np.ndarray:
         rows = [[float(v) for v in row] for row in reader if row]
     if not rows:
         return np.zeros((0, 3))
-    return np.asarray(rows, dtype=float)
+    try:
+        pts = np.asarray(rows, dtype=float)
+        if pts.shape[1] == 3:
+            return pts
+    except ValueError:  # rows of unequal length
+        pass
+    # only a malformed file gets here: name its first row without 3 fields
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        n_fields = next(len(row) for row in reader if row and len(row) != 3)
+    raise ValueError(f"{path}: line {reader.line_num} has {n_fields} fields, expected 3")
 
 
 def write_labels_csv(path: str | Path, labels: np.ndarray) -> None:

@@ -176,16 +176,6 @@ class PointCloud:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class ConductorDistance:
-    """Distance from one point to the nearest conductor of the array."""
-
-    d: float
-    k_star: int
-    e_c: np.ndarray  # error vector in the catenary basis; first entry 0
-    x_j: float  # associated abscissa along the conductor
-
-
 def _as_points(cloud: PointCloud | np.ndarray) -> np.ndarray:
     """The (m, 3) float points of a cloud, checked as PointCloud checks them."""
     if isinstance(cloud, PointCloud):
@@ -196,11 +186,11 @@ def _as_points(cloud: PointCloud | np.ndarray) -> np.ndarray:
     return PointCloud(pts).points
 
 
-def _check_params(p: ParamVector, config: ConductorConfig) -> None:
-    if p.deltas.size != config.l:
+def check_param_count(n_par: int, config: ConductorConfig, what: str = "parameter vector") -> None:
+    """Reject a parameter vector of n_par entries that config cannot take."""
+    if n_par != 5 + config.l:
         raise ValueError(
-            f"parameter vector carries {p.deltas.size} offsets but config "
-            f"{config.name!r} expects {config.l}"
+            f"{what} has {n_par} entries but config {config.name!r} expects {5 + config.l}"
         )
 
 
@@ -219,7 +209,7 @@ def forward_point(p: ParamVector, config: ConductorConfig, k: int, x_j: float | 
     rotated by psi about the vertical axis and translated by (x_o, y_o, z_o).
     Returns a (3,) point for scalar x_j, else an (n, 3) polyline.
     """
-    _check_params(p, config)
+    check_param_count(p.size, config)
     if not 0 <= k < config.q:
         raise ValueError(f"conductor index {k} out of range [0, {config.q})")
     offs = offset_matrix(config, p.deltas)
@@ -282,20 +272,9 @@ def distance_field(
     taken at the winning conductor. Ties in the argmin go to the lowest
     conductor index.
     """
-    _check_params(p, config)
+    check_param_count(p.size, config)
     _, e2, e3, x_j, k_star, _, _ = _residuals(_as_points(points), p.to_array(), config.jacobian)
     return np.hypot(e2, e3), k_star, e2, e3, x_j
-
-
-def distance_to_model(p: ParamVector, config: ConductorConfig, pt: np.ndarray) -> ConductorDistance:
-    """Distance from one point to the nearest conductor, with association."""
-    d, k_star, e2, e3, x_j = distance_field(p, config, np.asarray(pt, dtype=float).reshape(1, 3))
-    return ConductorDistance(
-        d=float(d[0]),
-        k_star=int(k_star[0]),
-        e_c=np.array([0.0, e2[0], e3[0]]),
-        x_j=float(x_j[0]),
-    )
 
 
 def sample_curves(

@@ -20,6 +20,7 @@ from .geometry import (
     PointCloud,
     _as_points,
     _residuals,
+    check_param_count,
     distance_field,
 )
 
@@ -92,24 +93,19 @@ class LossReport:
 
 def _param_array(p: ParamVector | np.ndarray, config: ConductorConfig) -> np.ndarray:
     arr = p.to_array() if isinstance(p, ParamVector) else np.asarray(p, dtype=float).ravel()
-    if arr.size != 5 + config.l:
-        raise ValueError(
-            f"parameter vector has {arr.size} entries but config {config.name!r} "
-            f"expects {5 + config.l}"
-        )
+    check_param_count(arr.size, config)
     if not arr[4] > 0:
         raise ValueError(f"sag parameter must be positive, got {arr[4]}")
     return arr
 
 
 def _prior_array(
-    prior: ParamVector | np.ndarray | None, n_par: int
+    prior: ParamVector | np.ndarray | None, config: ConductorConfig
 ) -> np.ndarray | None:
     if prior is None:
         return None
     arr = prior.to_array() if isinstance(prior, ParamVector) else np.asarray(prior, dtype=float)
-    if arr.size != n_par:
-        raise ValueError(f"prior has {arr.size} parameters, model has {n_par}")
+    check_param_count(arr.size, config, "prior")
     return arr
 
 
@@ -130,7 +126,7 @@ def cost_and_gradient(
     """
     p_arr = _param_array(p, config)
     pts = _as_points(points)
-    prior_arr = _prior_array(prior, p_arr.size)
+    prior_arr = _prior_array(prior, config)
     r = weights.point_weights(pts.shape[0])
     d2, e2, e3, x_j, k, along, across = _residuals(pts, p_arr, config.jacobian)
     one_d2 = 1.0 + d2
@@ -180,11 +176,11 @@ def total_loss(
     """Loss with a full per-point breakdown (slower than cost_and_gradient)."""
     p_arr = _param_array(p, config)
     d, k_star, _, _, _ = distance_field(ParamVector.from_array(p_arr), config, points)
-    c_i = np.log10(1.0 + np.square(d))
+    c_i = point_cost(d)
     points_cost = float(np.sum(weights.point_weights(d.size) * c_i))
 
     reg = 0.0
-    prior_arr = _prior_array(prior, p_arr.size)
+    prior_arr = _prior_array(prior, config)
     if prior_arr is not None:
         q = weights.penalty_diag(p_arr.size)
         dp = p_arr - prior_arr

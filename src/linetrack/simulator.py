@@ -17,11 +17,12 @@ from .geometry import (
     ConductorConfig,
     ParamVector,
     PointCloud,
+    check_param_count,
     conductor_config,
     distance_field,
     forward_point,
 )
-from .solver import DELTA_BOUNDS, SAG_BOUNDS
+from .solver import DELTA_BOUNDS, SAG_BOUNDS, _by_group
 
 DEFAULT_PRIOR_SIGMA_BY_GROUP = (5.0, 5.0, 2.0, 0.05, 200.0, 0.5)
 
@@ -95,11 +96,7 @@ class Scenario:
             raise ValueError(f"clearance must be >= 0, got {self.clearance}")
         if self.n_frames < 1:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
-        if self.truth.deltas.size != self.config.l:
-            raise ValueError(
-                f"truth carries {self.truth.deltas.size} offsets but config "
-                f"{self.config.name!r} expects {self.config.l}"
-            )
+        check_param_count(self.truth.size, self.config, "truth")
 
     def abscissa_range(self) -> tuple[float, float]:
         if self.mode == "global":
@@ -235,8 +232,7 @@ def random_prior(
 
 def default_prior_sigma(config: ConductorConfig) -> np.ndarray:
     """Spread of the random initial priors used by the benchmark protocol."""
-    g = DEFAULT_PRIOR_SIGMA_BY_GROUP
-    return np.array(list(g[:5]) + [g[5]] * config.l)
+    return _by_group(DEFAULT_PRIOR_SIGMA_BY_GROUP, config)
 
 
 def default_truth(config: ConductorConfig) -> ParamVector:

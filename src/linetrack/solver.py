@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .geometry import CatenaryRangeError, ConductorConfig, ParamVector, PointCloud, distance_field
+from .geometry import (
+    CatenaryRangeError,
+    ConductorConfig,
+    ParamVector,
+    PointCloud,
+    check_param_count,
+    distance_field,
+)
 from .loss import LossWeights, cost_and_gradient
 
 # Spread of the random restarts around the warm start: x/y position, z,
@@ -53,17 +60,26 @@ DELTA_BOUNDS = (0.1, 8.0)
 TRANSLATION_HALF_RANGE = 50.0
 YAW_HALF_RANGE = 0.5
 
+# L-BFGS-B stopping tolerances on the relative cost reduction and on the
+# projected gradient.
+COST_TOL = 1e-9
+GRAD_TOL = 1e-8
+
+
+def _by_group(groups: tuple[float, ...], config: ConductorConfig) -> np.ndarray:
+    """One value per parameter: the five pose and sag entries of groups,
+    then its offset entry repeated for each of config's offsets."""
+    return np.array(list(groups[:5]) + [groups[5]] * config.l)
+
 
 def default_sigma(config: ConductorConfig) -> np.ndarray:
     """Per-parameter standard deviation used to draw restart points."""
-    g = DEFAULT_SIGMA_BY_GROUP
-    return np.array(list(g[:5]) + [g[5]] * config.l)
+    return _by_group(DEFAULT_SIGMA_BY_GROUP, config)
 
 
 def default_regularization(config: ConductorConfig) -> np.ndarray:
     """Diagonal of the default quadratic pull toward the frame's prior."""
-    g = DEFAULT_REGULARIZATION_BY_GROUP
-    return np.array(list(g[:5]) + [g[5]] * config.l)
+    return _by_group(DEFAULT_REGULARIZATION_BY_GROUP, config)
 
 
 def default_weights(config: ConductorConfig) -> LossWeights:
@@ -118,8 +134,6 @@ class EstimatorSettings:
     bounds_upper: np.ndarray | None = None
     weights: LossWeights | None = None
     max_iterations: int = 200
-    cost_tol: float = 1e-9
-    grad_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -211,38 +225,6 @@ def _clamp(p_arr: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarra
     return np.minimum(np.maximum(p_arr, lower), upper)
 
 
-def solve_single(
-    points: PointCloud | np.ndarray,
-    p0: ParamVector | np.ndarray,
-    config: ConductorConfig,
-    prior: ParamVector | None = None,
-    settings: EstimatorSettings = EstimatorSettings(),
-) -> tuple[ParamVector, float]:
-    """One bound-constrained descent from p0; returns (minimizer, cost).
-
-    p0 is projected into the bounds before the descent. The prior only
-    matters when the settings carry a nonzero prior penalty.
-    """
-    p0_v = p0 if isinstance(p0, ParamVector) else ParamVector.from_array(p0)
-    anchor = prior if prior is not None else p0_v
-    lower, upper = settings.resolve_bounds(anchor)
-    start = _clamp(p0_v.to_array(), lower, upper)
-    cloud = _as_cloud(points)
-    weights = settings.resolve_weights(config)
-    c0, _ = cost_and_gradient(start, config, cloud, anchor, weights)
-    if not np.isfinite(c0):
-        raise SolverError(f"non-finite cost {c0} at the projected start", p0=start)
-    p_fit, c_fit, _, _, _ = _descend(
-        start, config, cloud, anchor.to_array(), weights, settings, lower, upper
-    )
-    return p_fit, c_fit
-
-
-def _as_cloud(points: PointCloud | np.ndarray) -> PointCloud:
-    # checked once here, so every loss evaluation takes the points as they are
-    return points if isinstance(points, PointCloud) else PointCloud(points)
-
-
 def _descend(
     p0: np.ndarray,
     config: ConductorConfig,
@@ -262,8 +244,8 @@ def _descend(
         bounds=list(zip(lower, upper)),
         options={
             "maxiter": settings.max_iterations,
-            "ftol": settings.cost_tol,
-            "gtol": settings.grad_tol,
+            "ftol": COST_TOL,
+            "gtol": GRAD_TOL,
         },
     )
     msg = res.message if isinstance(res.message, str) else res.message.decode()
@@ -285,12 +267,9 @@ def estimate_frame(
     the earlier start. With rng omitted, a fresh generator is seeded from
     settings.seed, making the call fully deterministic.
     """
-    if prior.deltas.size != config.l:
-        raise ValueError(
-            f"prior carries {prior.deltas.size} offsets but config "
-            f"{config.name!r} expects {config.l}"
-        )
-    cloud = _as_cloud(points)
+    check_param_count(prior.size, config, "prior")
+    # checked once here, so every loss evaluation takes the points as they are
+    cloud = points if isinstance(points, PointCloud) else PointCloud(points)
     if rng is None:
         rng = np.random.default_rng(settings.seed)
     lower, upper = settings.resolve_bounds(prior)

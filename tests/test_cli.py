@@ -3,6 +3,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
 
 from linetrack.cli import main
 from linetrack.fileio import (
@@ -158,12 +159,30 @@ def test_config_file_flag_wins(tmp_path):
     assert len(list_frame_paths(out)) == 5
 
 
-def test_config_file_unknown_key_rejected(tmp_path):
+# each value goes through its flag's own type and choices; a bad one is a
+# usage error naming the key
+@pytest.mark.parametrize(
+    "command, values, expected_rc",
+    [
+        pytest.param("simulate", {"framez": 2}, 1, id="unknown-key"),
+        pytest.param("estimate", {"n_search": 2.5}, 1, id="float-for-int"),
+        pytest.param("estimate", {"prior_from_truth": "yes"}, 1, id="text-for-switch"),
+        pytest.param("simulate", {"noise_sigma": None}, 1, id="null"),
+        pytest.param("simulate", {"config": "999"}, 1, id="bad-choice"),
+        pytest.param("simulate", {"frames": 1, "truth": [0, 0, 20, 0, 1000, 4, 5]}, 0,
+                     id="list-for-floats"),
+        pytest.param("benchmark", {"outliers": [10, 50], "frames": 3, "repeats": 1, "window": 2},
+                     0, id="list-for-sweep"),
+    ],
+)
+def test_config_file_unknown_key_rejected(tmp_path, command, values, expected_rc):
     cfg = tmp_path / "flags.json"
-    cfg.write_text(json.dumps({"framez": 2}))
-    rc, _, _ = run_cli(["simulate", "--config-file", str(cfg),
-                        "--out", str(tmp_path / "run")])
-    assert rc == 1
+    cfg.write_text(json.dumps(values))
+    target = "--data" if command == "estimate" else "--out"
+    rc, _, stderr = run_cli([command, "--config-file", str(cfg), target, str(tmp_path / "out")])
+    assert rc == expected_rc, stderr
+    if expected_rc == 1:
+        assert next(iter(values)) in stderr
 
 
 def test_estimate_with_filter_flag(tmp_path):

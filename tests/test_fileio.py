@@ -51,6 +51,21 @@ def test_frame_bad_header_rejected(tmp_path):
         read_frame_csv(path)
 
 
+@pytest.mark.parametrize(
+    "body, line, n_fields",
+    [
+        pytest.param("1,2,3\n4,5\n6,7,8\n", 3, 2, id="short-row"),
+        pytest.param("1,2,3\n\n4,5,6,7\n", 4, 4, id="long-row"),
+        pytest.param("1,2\n4,5\n", 2, 2, id="all-short"),
+    ],
+)
+def test_frame_row_without_three_fields_named(tmp_path, body, line, n_fields):
+    path = tmp_path / "frame.csv"
+    path.write_text("x,y,z\n" + body)
+    with pytest.raises(ValueError, match=rf"frame\.csv: line {line} has {n_fields} fields"):
+        read_frame_csv(path)
+
+
 def test_labels_round_trip(tmp_path):
     labels = np.array([0, 0, 1, 5, -1, -1])
     path = tmp_path / "labels.csv"

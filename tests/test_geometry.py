@@ -9,7 +9,6 @@ from linetrack.geometry import (
     catenary_z,
     conductor_config,
     distance_field,
-    distance_to_model,
     forward_point,
     offset_matrix,
     sample_curves,
@@ -158,18 +157,6 @@ def test_distance_field_lateral_component():
     p = ParamVector(0.0, 0.0, 0.0, 0.0, 1000.0)
     d, _, _, _, _ = distance_field(p, cfg, np.array([[0.0, 4.0, 3.0]]))
     assert d[0] == pytest.approx(5.0, abs=1e-9)
-
-
-def test_distance_to_model_matches_field():
-    cfg = conductor_config("222")
-    p = ParamVector(0.5, -1.0, 18.0, -0.05, 900.0, np.array([3.5, 4.5]))
-    pt = np.array([12.0, 3.0, 24.0])
-    single = distance_to_model(p, cfg, pt)
-    d, k_star, _, _, x_j = distance_field(p, cfg, pt[None, :])
-    assert single.d == pytest.approx(d[0], rel=1e-12)
-    assert single.k_star == k_star[0]
-    assert single.x_j == pytest.approx(x_j[0], rel=1e-9)
-    assert single.e_c[0] == 0.0
 
 
 def test_sample_curves_ends_on_model():

@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
 
-from linetrack.geometry import ParamVector, conductor_config, forward_point
-from linetrack.loss import LossWeights
-from linetrack.simulator import default_scenario, generate_sequence
+from linetrack.geometry import ParamVector, conductor_config, distance_field, forward_point
+from linetrack.loss import LossWeights, cost_and_gradient
+from linetrack.simulator import Scenario, default_scenario, generate_sequence
 from linetrack.solver import (
     DELTA_BOUNDS,
     SAG_BOUNDS,
     TRANSLATION_HALF_RANGE,
     YAW_HALF_RANGE,
     EstimatorSettings,
-    SolverError,
     default_bounds,
     default_regularization,
     default_sigma,
     default_weights,
     estimate_frame,
-    solve_single,
     track_sequence,
 )
 
@@ -154,19 +152,30 @@ def test_solve_single_descends():
     p0 = ParamVector(0.5, 0.5, 21.0, 0.01, 1200.0)
     # zero regularization so the final cost is the data term alone;
     # 30 points of 0.1 sigma noise floor the cost near 0.26
-    settings = EstimatorSettings(seed=0, weights=LossWeights(q_diag=np.zeros(5)))
-    p_fit, cost = solve_single(pts, p0, cfg, settings=settings)
-    assert cost <= 0.5
-    assert abs(p_fit.z_o - 20.0) < 0.2
-    assert abs(p_fit.a - 1000.0) < 60.0
+    # n_search=0: the one descent from the warm start
+    settings = EstimatorSettings(n_search=0, seed=0, weights=LossWeights(q_diag=np.zeros(5)))
+    result = estimate_frame(pts, p0, cfg, settings)
+    assert result.cost <= 0.5
+    assert abs(result.p.z_o - 20.0) < 0.2
+    assert abs(result.p.a - 1000.0) < 60.0
 
 
-def test_solver_error_on_mismatched_prior():
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda p, cfg: distance_field(p, cfg, np.zeros((4, 3))), id="distance_field"),
+        pytest.param(lambda p, cfg: cost_and_gradient(p, cfg, np.zeros((4, 3))),
+                     id="cost_and_gradient"),
+        pytest.param(lambda p, cfg: estimate_frame(np.zeros((4, 3)), p, cfg, EstimatorSettings()),
+                     id="estimate_frame"),
+        pytest.param(lambda p, cfg: Scenario(config=cfg, truth=p), id="Scenario"),
+    ],
+)
+def test_solver_error_on_mismatched_prior(call):
     cfg = conductor_config("222")
-    pts = np.zeros((4, 3))
-    prior = ParamVector(0.0, 0.0, 0.0, 0.0, 1000.0)  # no deltas for a 2-offset model
-    with pytest.raises((SolverError, ValueError)):
-        estimate_frame(pts, prior, cfg, EstimatorSettings(seed=0))
+    p = ParamVector(0.0, 0.0, 0.0, 0.0, 1000.0)  # no deltas for a 2-offset model
+    with pytest.raises(ValueError, match="has 5 entries but config '222' expects 7"):
+        call(p, cfg)
 
 
 def test_non_finite_frame_rejected_before_fitting():
